@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstddef>
 #include <limits>
@@ -178,6 +179,22 @@ bool apply(Simulator& sim, const Directive& d) {
   return false;
 }
 
+/// A fresh simulator in the state after `dirs`, reached by replaying them
+/// from the scenario's initial state; its executed events count into *steps.
+std::unique_ptr<Simulator> replay_prefix(std::size_t n, const SimConfig& cfg,
+                                         const ScenarioBuilder& build,
+                                         const std::vector<Directive>& dirs,
+                                         std::uint64_t* steps) {
+  auto sim = std::make_unique<Simulator>(n, cfg);
+  sim->count_events_into(steps);
+  build(*sim);
+  for (const Directive& d : dirs) {
+    const bool ok = apply(*sim, d);
+    TPA_CHECK(ok, "explorer replay diverged at p" << d.proc);
+  }
+  return sim;
+}
+
 ActionSig action_sig(const Simulator& sim, ProcId p) {
   const Proc& proc = sim.proc(p);
   if (!proc.done() && proc.has_pending()) {
@@ -199,39 +216,58 @@ ActionSig action_sig(const Simulator& sim, ProcId p) {
 
 // ---- option enumeration (shared by DFS and frontier expansion) -----------
 
+/// A set of processes as a bitmask over their ids. explore() admits at most
+/// kMaxProcs processes, so a node's candidate sets live in registers and the
+/// DFS allocates nothing per node to enumerate them.
+using ProcMask = std::uint64_t;
+constexpr std::size_t kMaxProcs = 64;
+
+constexpr ProcMask bit(ProcId p) { return ProcMask{1} << p; }
+
+/// Removes and returns the lowest process id in a non-empty mask.
+ProcId pop_lowest(ProcMask& m) {
+  const auto p = static_cast<ProcId>(std::countr_zero(m));
+  m &= m - 1;
+  return p;
+}
+
 struct Options {
-  std::vector<ProcId> cand;        ///< processes that can act
-  std::vector<ProcId> options;     ///< explored children, in order
-  std::vector<ProcId> crash_cand;  ///< processes the adversary may crash
+  ProcMask cand = 0;     ///< processes that can act
+  ProcMask options = 0;  ///< explored scheduling children (see pop_option)
+  ProcMask crash = 0;    ///< processes the adversary may crash
   bool current_runnable = false;
+
+  std::size_t children() const {
+    return static_cast<std::size_t>(std::popcount(options) +
+                                    std::popcount(crash));
+  }
 };
 
-/// Candidates in a stable order; continuing the current process is free,
-/// preempting it costs budget. If the current process cannot act, switching
-/// is free. Crash candidates come last: with crashes_left == 0 the option
-/// list is bit-identical to a crash-free exploration.
+/// Continuing the current process is free, preempting it costs budget. If
+/// the current process cannot act, switching is free. Crash candidates are
+/// explored after every scheduling child: with crashes_left == 0 the
+/// children are bit-identical to a crash-free exploration.
 Options enumerate_options(const Simulator& sim, std::size_t n, ProcId current,
                           int preemptions, int crashes_left) {
   Options o;
-  for (std::size_t p = 0; p < n; ++p)
-    if (can_act(sim, static_cast<ProcId>(p)))
-      o.cand.push_back(static_cast<ProcId>(p));
-  if (crashes_left > 0)
-    for (std::size_t p = 0; p < n; ++p)
-      if (sim.can_crash(static_cast<ProcId>(p)))
-        o.crash_cand.push_back(static_cast<ProcId>(p));
-  o.current_runnable =
-      current != kNoProc &&
-      std::find(o.cand.begin(), o.cand.end(), current) != o.cand.end();
-  if (o.current_runnable) {
-    o.options.push_back(current);
-    if (preemptions > 0)
-      for (ProcId p : o.cand)
-        if (p != current) o.options.push_back(p);
-  } else {
-    o.options = o.cand;
+  for (std::size_t p = 0; p < n; ++p) {
+    const auto id = static_cast<ProcId>(p);
+    if (can_act(sim, id)) o.cand |= bit(id);
+    if (crashes_left > 0 && sim.can_crash(id)) o.crash |= bit(id);
   }
+  o.current_runnable = current != kNoProc && (o.cand & bit(current)) != 0;
+  o.options = o.current_runnable && preemptions <= 0 ? bit(current) : o.cand;
   return o;
+}
+
+/// Removes and returns the next scheduling child in exploration order: the
+/// current process first (when it is among them), then ascending ids.
+ProcId pop_option(ProcMask& todo, ProcId current) {
+  if (current != kNoProc && (todo & bit(current)) != 0) {
+    todo &= ~bit(current);
+    return current;
+  }
+  return pop_lowest(todo);
 }
 
 /// A schedule prefix at which a worker's subtree DFS is rooted. In
@@ -247,6 +283,32 @@ struct Node {
 };
 
 // ---- durable campaign checkpointing --------------------------------------
+
+/// Adds the work counters of an ExplorerResult or campaign record into
+/// another. Evictions are left out: the visited set reports its own.
+template <typename To, typename From>
+void add_counts(To& to, const From& from) {
+  to.schedules += from.schedules;
+  to.steps += from.steps;
+  to.truncated += from.truncated;
+  to.snapshots += from.snapshots;
+  to.restores += from.restores;
+  to.dedup_hits += from.dedup_hits;
+  to.dedup_states += from.dedup_states;
+}
+
+/// Overwrites every counter, evictions included.
+template <typename To, typename From>
+void copy_counts(To& to, const From& from) {
+  to.schedules = from.schedules;
+  to.steps = from.steps;
+  to.truncated = from.truncated;
+  to.snapshots = from.snapshots;
+  to.restores = from.restores;
+  to.dedup_hits = from.dedup_hits;
+  to.dedup_states = from.dedup_states;
+  to.dedup_evictions = from.dedup_evictions;
+}
 
 /// One unexplored sibling at an open branch point of the running DFS. The
 /// directive and the child's budgets are computed when the branch point is
@@ -318,7 +380,8 @@ class Dfs {
     baseline_depth_ = kNoBaseline;
     skips_since_check_ = kLiveKeyStride;
     last_sched_.assign(n_, 0);
-    dfs(fresh(), kNoProc, cfg_.preemptions, cfg_.max_crashes, {});
+    sim_ = rebuild();
+    dfs(kNoProc, cfg_.preemptions, cfg_.max_crashes, {});
   }
 
   void run_from(const Node& node) {
@@ -328,9 +391,8 @@ class Dfs {
     last_sched_.assign(n_, 0);
     for (std::size_t k = 0; k < dirs_.size(); ++k)
       last_sched_[dirs_[k].proc] = k + 1;
-    std::unique_ptr<Simulator> sim;
     if (cfg_.checkpoint && node.snap != nullptr) {
-      sim = revive(*node.snap);
+      restore(*node.snap);
     } else {
       // A campaign frontier node's last directive is an *unapplied* child
       // step: replaying it may legitimately raise the violation the
@@ -339,44 +401,53 @@ class Dfs {
       // prefixes were pre-validated by the frontier builder; for them this
       // also converts a diverged replay into a loud violation.)
       try {
-        sim = rebuild();
+        sim_ = rebuild();
       } catch (const CheckFailure& e) {
         record_violation(e.what());
         return;
       }
     }
     if (liveness_) seed_onstack();
-    dfs(std::move(sim), node.current, node.preemptions, node.crashes_left,
-        node.sleep);
+    dfs(node.current, node.preemptions, node.crashes_left, node.sleep);
   }
 
   ExplorerResult take_result() { return std::move(result_); }
 
  private:
-  std::unique_ptr<Simulator> fresh() {
-    auto sim = std::make_unique<Simulator>(n_, sim_cfg_);
-    sim->count_events_into(&result_.steps);
-    build_(*sim);
-    return sim;
-  }
-
   /// Rebuilds the simulator state for the current `dirs_` prefix by replay.
   std::unique_ptr<Simulator> rebuild() {
-    auto sim = fresh();
-    for (const Directive& d : dirs_) {
-      const bool ok = apply(*sim, d);
-      TPA_CHECK(ok, "explorer replay diverged at p" << d.proc);
-    }
-    return sim;
+    return replay_prefix(n_, sim_cfg_, build_, dirs_, &result_.steps);
   }
 
-  /// Reinstates a checkpoint in a fresh simulator — no events re-executed.
-  std::unique_ptr<Simulator> revive(const SimSnapshot& snap) {
-    auto sim = std::make_unique<Simulator>(n_, sim_cfg_);
-    sim->count_events_into(&result_.steps);
-    sim->restore(snap, build_);
+  /// Reinstates a checkpoint in this Dfs' one simulator, in place — no
+  /// events re-executed, and no simulator constructed after the first.
+  void restore(const SimSnapshot& snap) {
+    if (sim_ == nullptr) {
+      sim_ = std::make_unique<Simulator>(n_, sim_cfg_);
+      sim_->count_events_into(&result_.steps);
+    }
+    sim_->restore(snap, build_);
     result_.restores++;
-    return sim;
+  }
+
+  /// Brings the simulator back to a branch point's state for its next
+  /// child, and re-anchors the liveness dirty-delta baseline: a restore ends
+  /// in a full fingerprint rebuild at this node's state, so the baseline is
+  /// exactly here; a from-the-root rebuild() (checkpointing off) replays
+  /// without flushing, leaving the flushed state at the initial machine —
+  /// nowhere on this path, so the baseline is invalid until the next keyed
+  /// node re-establishes one.
+  void reinstate(const SimSnapshot* snap, std::size_t depth, ProcId current,
+                 std::size_t n_vars) {
+    if (snap != nullptr) {
+      restore(*snap);
+      baseline_depth_ = depth;
+      baseline_current_ = current;
+      baseline_nvars_ = n_vars;
+    } else {
+      sim_ = rebuild();
+      baseline_depth_ = kNoBaseline;
+    }
   }
 
   /// The visited-set key: the (incrementally maintained) state fingerprint
@@ -404,23 +475,6 @@ class Dfs {
   /// depth L is keyed *before* directive L applies, and the node's own key
   /// (depth dirs_.size()) is pushed by dfs() itself. Seeded entries are
   /// never popped: this Dfs never unwinds above its starting node.
-  /// Re-anchors the dirty-delta baseline after a sibling's simulator was
-  /// materialized: a snapshot revive ends in a full fingerprint rebuild at
-  /// this node's state, so the baseline is exactly here; a from-the-root
-  /// rebuild() replays without flushing, leaving the flushed state at the
-  /// initial machine — nowhere on this path, so the baseline is invalid
-  /// until the next keyed node re-establishes one.
-  void reanchor_baseline(bool revived, std::size_t depth, ProcId current,
-                         std::size_t n_vars) {
-    if (revived) {
-      baseline_depth_ = depth;
-      baseline_current_ = current;
-      baseline_nvars_ = n_vars;
-    } else {
-      baseline_depth_ = kNoBaseline;
-    }
-  }
-
   void seed_onstack() {
     onstack_.clear();
     auto sim = std::make_unique<Simulator>(n_, sim_cfg_);
@@ -444,15 +498,16 @@ class Dfs {
   /// aliasing) or fail the weak-fairness filter; only kStarvation /
   /// kLivelock verdicts come back. The simulator is restored to its entry
   /// state before returning, whatever the outcome.
-  VerdictKind verify_cycle(Simulator& sim, ProcId current,
-                           std::size_t cycle_start, const Fingerprint& key,
-                           std::string* msg) {
+  VerdictKind verify_cycle(ProcId current, std::size_t cycle_start,
+                           const Fingerprint& key, std::string* msg) {
+    Simulator& sim = *sim_;
     const std::shared_ptr<const SimSnapshot> snap = take_snapshot(sim);
-    std::vector<Status> status0(n_);
-    std::vector<char> enabled(n_, 0), scheduled(n_, 0), changed(n_, 0);
+    cycle_status_.resize(n_);
+    ProcMask enabled = 0, scheduled = 0, changed = 0;
     for (std::size_t q = 0; q < n_; ++q) {
-      status0[q] = sim.proc(static_cast<ProcId>(q)).status();
-      enabled[q] = can_act(sim, static_cast<ProcId>(q)) ? 1 : 0;
+      const auto id = static_cast<ProcId>(q);
+      cycle_status_[q] = sim.proc(id).status();
+      if (can_act(sim, id)) enabled |= bit(id);
     }
     bool closed = true;
     ProcId cur = current;
@@ -470,27 +525,23 @@ class Dfs {
       }
       if (d.kind != ActionKind::kCrash) cur = d.proc;
       if (d.proc != kNoProc && static_cast<std::size_t>(d.proc) < n_)
-        scheduled[static_cast<std::size_t>(d.proc)] = 1;
+        scheduled |= bit(d.proc);
       for (std::size_t q = 0; q < n_; ++q)
-        if (sim.proc(static_cast<ProcId>(q)).status() != status0[q])
-          changed[q] = 1;
+        if (sim.proc(static_cast<ProcId>(q)).status() != cycle_status_[q])
+          changed |= bit(static_cast<ProcId>(q));
     }
     if (closed) closed = progress_key(sim, cur) == key;
-    if (closed) {
-      // Weak fairness: a cycle that perpetually ignores an enabled process
-      // describes an unfair scheduler, not the algorithm.
-      for (std::size_t q = 0; q < n_; ++q)
-        if (enabled[q] && !scheduled[q]) closed = false;
-    }
+    // Weak fairness: a cycle that perpetually ignores an enabled process
+    // describes an unfair scheduler, not the algorithm.
+    if (closed) closed = (enabled & ~scheduled) == 0;
     VerdictKind kind = VerdictKind::kClean;
     if (closed) {
       ProcId starved = kNoProc;
-      bool any_change = false;
-      for (std::size_t q = 0; q < n_; ++q) {
-        any_change |= changed[q] != 0;
-        if (status0[q] == Status::kEntry && !changed[q] && starved == kNoProc)
+      const bool any_change = changed != 0;
+      for (std::size_t q = 0; q < n_ && starved == kNoProc; ++q)
+        if (cycle_status_[q] == Status::kEntry &&
+            (changed & bit(static_cast<ProcId>(q))) == 0)
           starved = static_cast<ProcId>(q);
-      }
       const std::size_t len = dirs_.size() - cycle_start;
       if (starved != kNoProc) {
         kind = VerdictKind::kStarvation;
@@ -508,8 +559,7 @@ class Dfs {
         *msg = os.str();
       }
     }
-    sim.restore(*snap, build_);
-    result_.restores++;
+    restore(*snap);
     return kind;
   }
 
@@ -549,14 +599,8 @@ class Dfs {
     c.complete = false;
     c.exhausted = true;
     c.verdict = {};
-    const ExplorerResult& d = camp_->done;
-    c.schedules += d.schedules + result_.schedules;
-    c.steps += d.steps + result_.steps;
-    c.truncated += d.truncated + result_.truncated;
-    c.snapshots += d.snapshots + result_.snapshots;
-    c.restores += d.restores + result_.restores;
-    c.dedup_hits += d.dedup_hits + result_.dedup_hits;
-    c.dedup_states += d.dedup_states + result_.dedup_states;
+    add_counts(c, camp_->done);
+    add_counts(c, result_);
     if (shared_->visited != nullptr)
       c.dedup_evictions += shared_->visited->evictions();
     if (include_current)
@@ -649,8 +693,8 @@ class Dfs {
   /// step cap is part of the budget tuple, so dominance accounts for it.
   /// Insertion is strictly post-order; a concurrent worker can therefore
   /// trust any entry it reads, which keeps cross-thread pruning sound.
-  bool dfs(std::unique_ptr<Simulator> sim, ProcId current, int preemptions,
-           int crashes_left, SleepSet sleep) {
+  bool dfs(ProcId current, int preemptions, int crashes_left,
+           SleepSet sleep) {
     if (stop()) {
       maybe_suspend(/*include_current=*/true, current, preemptions,
                     crashes_left);
@@ -664,7 +708,7 @@ class Dfs {
     }
 
     const Options opt =
-        enumerate_options(*sim, n_, current, preemptions, crashes_left);
+        enumerate_options(*sim_, n_, current, preemptions, crashes_left);
 
     // Liveness: if this node's progress key is already on the DFS stack,
     // the suffix dirs_[depth..] is a candidate fair cycle — verify it by
@@ -725,17 +769,16 @@ class Dfs {
     std::size_t pkey_prev = OnStackMap::kNotOnStack;
     bool pkey_pushed = false;
     const std::size_t node_depth = dirs_.size();
-    const std::size_t node_nvars = sim->n_vars();
+    const std::size_t node_nvars = sim_->n_vars();
     const bool dedup_here =
-        dedup_ && (opt.options.size() + opt.crash_cand.size() > 1 ||
-                   node_depth % kChainStride == 0);
+        dedup_ && (opt.children() > 1 || node_depth % kChainStride == 0);
     if (liveness_) {
       std::size_t anc = OnStackMap::kNotOnStack;
       bool have_pkey = false;
       bool checked = false;
       if (baseline_depth_ < node_depth && current == baseline_current_ &&
           node_nvars == baseline_nvars_ &&
-          sim->progress_unchanged_since_baseline()) {
+          sim_->progress_unchanged_since_baseline()) {
         anc = baseline_depth_;
         checked = true;
         // The flushed caches describe a progress state this node was just
@@ -747,7 +790,7 @@ class Dfs {
       } else if (!dedup_here && skips_since_check_ < kLiveKeyStride) {
         skips_since_check_++;
       } else {
-        pkey = progress_key(*sim, current);
+        pkey = progress_key(*sim_, current);
         have_pkey = true;
         baseline_depth_ = node_depth;
         baseline_current_ = current;
@@ -775,19 +818,19 @@ class Dfs {
           // depth+1, 0 = never), maintained O(1) per step with an undo on
           // backtrack, so the filter costs O(|cand|) however wide the
           // candidate window has grown.
-          bool maybe_fair = node_depth - anc >= opt.cand.size();
-          for (std::size_t c = 0; maybe_fair && c < opt.cand.size(); ++c)
-            maybe_fair = last_sched_[opt.cand[c]] > anc;
+          bool maybe_fair = node_depth - anc >=
+                            static_cast<std::size_t>(std::popcount(opt.cand));
+          for (ProcMask c = opt.cand; maybe_fair && c != 0;)
+            maybe_fair = last_sched_[pop_lowest(c)] > anc;
           if (maybe_fair) {
             if (!have_pkey) {
-              pkey = progress_key(*sim, current);
+              pkey = progress_key(*sim_, current);
               baseline_depth_ = node_depth;
               baseline_current_ = current;
               baseline_nvars_ = node_nvars;
             }
             std::string msg;
-            const VerdictKind kind =
-                verify_cycle(*sim, current, anc, pkey, &msg);
+            const VerdictKind kind = verify_cycle(current, anc, pkey, &msg);
             if (kind != VerdictKind::kClean) {
               record_verdict(kind, std::move(msg), anc);
               return false;
@@ -815,7 +858,7 @@ class Dfs {
     const VisitedSet::Budget budget{preemptions, crashes_left,
                                     cfg_.max_steps - dirs_.size()};
     if (dedup_here) {
-      key = state_key(*sim, current);
+      key = state_key(*sim_, current);
       if (liveness_) {
         // The dedup key's flush consumed the dirty delta: the baseline the
         // liveness fast path compares against is now this node.
@@ -834,7 +877,7 @@ class Dfs {
       }
     }
 
-    if (opt.cand.empty()) {
+    if (opt.cand == 0) {
       // Liveness: no candidate can act, yet some process has neither run to
       // completion nor crashed away — a deadlock, not a complete schedule.
       // (A crashed process with a recovery section would still be a
@@ -842,7 +885,7 @@ class Dfs {
       // witness: there is no cycle to mark.
       if (liveness_) {
         for (std::size_t q = 0; q < n_; ++q) {
-          const Proc& proc = sim->proc(static_cast<ProcId>(q));
+          const Proc& proc = sim_->proc(static_cast<ProcId>(q));
           if (!proc.done() && !proc.crashed()) {
             std::ostringstream os;
             os << "liveness: deadlock — p" << q << " has not completed but "
@@ -856,7 +899,7 @@ class Dfs {
       shared_->charge();
       if (cfg_.on_complete) {
         try {
-          cfg_.on_complete(*sim);
+          cfg_.on_complete(*sim_);
         } catch (const CheckFailure& e) {
           record_violation(e.what());
           return false;
@@ -867,20 +910,10 @@ class Dfs {
       return true;
     }
 
-    // Signatures are taken at the node's state, before any child consumes
-    // the simulator; sleeping processes have not stepped since their entry
-    // was recorded, so their stored signatures stay valid.
-    std::vector<ActionSig> sigs;
-    if (cfg_.sleep_sets) {
-      sigs.reserve(opt.options.size());
-      for (ProcId p : opt.options) sigs.push_back(action_sig(*sim, p));
-    }
-
     // Branch point: checkpoint once, then every sibling after the first
     // restores from here instead of replaying `dirs_` from the root.
     std::shared_ptr<const SimSnapshot> snap;
-    if (cfg_.checkpoint && opt.options.size() + opt.crash_cand.size() > 1)
-      snap = take_snapshot(*sim);
+    if (cfg_.checkpoint && opt.children() > 1) snap = take_snapshot(*sim_);
 
     // Campaign mode: materialize this branch point's children now, while
     // the parent state is intact — directives and budgets exactly as the
@@ -889,45 +922,53 @@ class Dfs {
     if (camp_ != nullptr) {
       Level lvl;
       lvl.prefix_len = dirs_.size();
-      lvl.children.reserve(opt.options.size() + opt.crash_cand.size());
-      for (const ProcId p : opt.options) {
+      lvl.children.reserve(opt.children());
+      for (ProcMask todo = opt.options; todo != 0;) {
+        const ProcId p = pop_option(todo, current);
         const int cost = (opt.current_runnable && p != current) ? 1 : 0;
         lvl.children.push_back(
-            PendingChild{make_directive(*sim, p), p, preemptions - cost,
+            PendingChild{make_directive(*sim_, p), p, preemptions - cost,
                          crashes_left});
       }
-      for (const ProcId p : opt.crash_cand)
+      for (ProcMask todo = opt.crash; todo != 0;)
         lvl.children.push_back(PendingChild{
-            Directive{ActionKind::kCrash, p}, current, preemptions,
-            crashes_left - 1});
+            Directive{ActionKind::kCrash, pop_lowest(todo)}, current,
+            preemptions, crashes_left - 1});
       levels_.push_back(std::move(lvl));
     }
 
-    for (std::size_t i = 0; i < opt.options.size(); ++i) {
+    // The simulator holds this node's state until the first child steps
+    // it; every later child first reinstates the node.
+    bool moved = false;
+    std::size_t i = 0;
+    for (ProcMask todo = opt.options; todo != 0; ++i) {
       if (stop()) {
         maybe_suspend(/*include_current=*/false, current, preemptions,
                       crashes_left);
         return false;
       }
       if (camp_ != nullptr) levels_.back().next = i + 1;
-      const ProcId p = opt.options[i];
+      const ProcId p = pop_option(todo, current);
       if (cfg_.sleep_sets &&
           std::any_of(sleep.begin(), sleep.end(),
                       [p](const SleepEntry& e) { return e.proc == p; })) {
         continue;  // equivalent to an explored schedule where p moves later
       }
+      if (moved) reinstate(snap.get(), node_depth, current, node_nvars);
+      moved = true;
+      // The signature is taken at the node's state, before the child steps;
+      // sleeping processes have not stepped since their entry was recorded,
+      // so their stored signatures stay valid.
       SleepSet child_sleep;
-      if (cfg_.sleep_sets)
+      ActionSig sig;
+      if (cfg_.sleep_sets) {
+        sig = action_sig(*sim_, p);
         for (const SleepEntry& e : sleep)
-          if (independent(e.sig, sigs[i])) child_sleep.push_back(e);
-      if (sim == nullptr) {  // a previous child consumed it
-        sim = snap != nullptr ? revive(*snap) : rebuild();
-        if (liveness_) reanchor_baseline(snap != nullptr, node_depth, current,
-                                         node_nvars);
+          if (independent(e.sig, sig)) child_sleep.push_back(e);
       }
-      const Directive d = make_directive(*sim, p);
+      const Directive d = make_directive(*sim_, p);
       try {
-        const bool ok = apply(*sim, d);
+        const bool ok = apply(*sim_, d);
         TPA_CHECK(ok, "candidate p" << p << " could not act");
       } catch (const CheckFailure& e) {
         dirs_.push_back(d);
@@ -938,16 +979,15 @@ class Dfs {
       const std::size_t prev_sched = last_sched_[p];
       last_sched_[p] = dirs_.size();
       const int cost = (opt.current_runnable && p != current) ? 1 : 0;
-      const bool child_complete = dfs(std::move(sim), p, preemptions - cost,
-                                      crashes_left, std::move(child_sleep));
+      const bool child_complete = dfs(p, preemptions - cost, crashes_left,
+                                      std::move(child_sleep));
       dirs_.pop_back();
       last_sched_[p] = prev_sched;
-      sim = nullptr;
       // An incomplete child means a sticky stop condition (violation,
       // budget, deadline, beaten) ended it mid-subtree: this subtree is not
       // fully explored either, so it must never enter the visited set.
       if (!child_complete) return false;
-      if (cfg_.sleep_sets) sleep.push_back({p, sigs[i]});
+      if (cfg_.sleep_sets) sleep.push_back({p, sig});
     }
 
     // Crash branches, after all scheduling branches. A crash is an
@@ -955,22 +995,19 @@ class Dfs {
     // leaves `current` in place. It is dependent with everything (memory
     // and buffers change wholesale), so crash children start with an empty
     // sleep set and are never themselves sleep-pruned.
-    for (std::size_t j = 0; j < opt.crash_cand.size(); ++j) {
-      const ProcId p = opt.crash_cand[j];
+    for (ProcMask todo = opt.crash; todo != 0; ++i) {
       if (stop()) {
         maybe_suspend(/*include_current=*/false, current, preemptions,
                       crashes_left);
         return false;
       }
-      if (camp_ != nullptr) levels_.back().next = opt.options.size() + j + 1;
-      if (sim == nullptr) {  // a previous child consumed it
-        sim = snap != nullptr ? revive(*snap) : rebuild();
-        if (liveness_) reanchor_baseline(snap != nullptr, node_depth, current,
-                                         node_nvars);
-      }
+      if (camp_ != nullptr) levels_.back().next = i + 1;
+      const ProcId p = pop_lowest(todo);
+      if (moved) reinstate(snap.get(), node_depth, current, node_nvars);
+      moved = true;
       const Directive d{ActionKind::kCrash, p};
       try {
-        const bool ok = apply(*sim, d);
+        const bool ok = apply(*sim_, d);
         TPA_CHECK(ok, "crash candidate p" << p << " could not crash");
       } catch (const CheckFailure& e) {
         dirs_.push_back(d);
@@ -981,10 +1018,9 @@ class Dfs {
       const std::size_t prev_sched = last_sched_[p];
       last_sched_[p] = dirs_.size();
       const bool child_complete =
-          dfs(std::move(sim), current, preemptions, crashes_left - 1, {});
+          dfs(current, preemptions, crashes_left - 1, {});
       dirs_.pop_back();
       last_sched_[p] = prev_sched;
-      sim = nullptr;
       if (!child_complete) return false;
     }
 
@@ -1004,6 +1040,9 @@ class Dfs {
   bool dedup_ = false;
   bool symmetric_ = false;
   bool liveness_ = false;
+  /// The one simulator this Dfs drives: stepped down each path and restored
+  /// in place at branch points (or rebuilt by replay, checkpointing off).
+  std::unique_ptr<Simulator> sim_;
   /// Recycled branch-point snapshots (see take_snapshot).
   std::vector<std::unique_ptr<SimSnapshot>> snap_pool_;
   std::vector<Directive> dirs_;
@@ -1032,6 +1071,8 @@ class Dfs {
   /// path (0 = not yet scheduled); the child loops save/restore around each
   /// recursion. Powers the O(|cand|) weak-fairness pre-filter.
   std::vector<std::size_t> last_sched_;
+  /// verify_cycle's per-process section status at the cycle's entry.
+  std::vector<Status> cycle_status_;
 };
 
 /// Explores a campaign's frontier nodes in DFS order, each in a fresh Dfs.
@@ -1051,13 +1092,7 @@ ExplorerResult run_campaign_nodes(std::size_t n_procs, const SimConfig& eff,
     dfs.run_from(Node{nodes[i].dirs, nodes[i].current, nodes[i].preemptions,
                       nodes[i].crashes_left, {}, nullptr});
     ExplorerResult sub = dfs.take_result();
-    total.schedules += sub.schedules;
-    total.steps += sub.steps;
-    total.truncated += sub.truncated;
-    total.snapshots += sub.snapshots;
-    total.restores += sub.restores;
-    total.dedup_hits += sub.dedup_hits;
-    total.dedup_states += sub.dedup_states;
+    add_counts(total, sub);
     camp->done = total;
     if (sub.verdict.found()) {
       total.verdict = std::move(sub.verdict);
@@ -1115,20 +1150,8 @@ class FrontierBuilder {
   ExplorerResult take_result() { return std::move(result_); }
 
  private:
-  std::unique_ptr<Simulator> fresh() {
-    auto sim = std::make_unique<Simulator>(n_, sim_cfg_);
-    sim->count_events_into(&result_.steps);
-    build_(*sim);
-    return sim;
-  }
-
   std::unique_ptr<Simulator> rebuild(const std::vector<Directive>& dirs) {
-    auto sim = fresh();
-    for (const Directive& d : dirs) {
-      const bool ok = apply(*sim, d);
-      TPA_CHECK(ok, "frontier replay diverged at p" << d.proc);
-    }
-    return sim;
+    return replay_prefix(n_, sim_cfg_, build_, dirs, &result_.steps);
   }
 
   std::unique_ptr<Simulator> revive(const SimSnapshot& snap) {
@@ -1164,7 +1187,7 @@ class FrontierBuilder {
                                                   : rebuild(node.dirs);
     const Options opt = enumerate_options(*sim, n_, node.current,
                                           node.preemptions, node.crashes_left);
-    if (opt.cand.empty()) {
+    if (opt.cand == 0) {
       result_.schedules++;
       shared_->charge();
       if (cfg_.on_complete) {
@@ -1177,12 +1200,6 @@ class FrontierBuilder {
       return;
     }
 
-    std::vector<ActionSig> sigs;
-    if (cfg_.sleep_sets) {
-      sigs.reserve(opt.options.size());
-      for (ProcId p : opt.options) sigs.push_back(action_sig(*sim, p));
-    }
-
     // The parent state every child probe starts from.
     std::shared_ptr<const SimSnapshot> parent_snap = node.snap;
     if (use_snap && parent_snap == nullptr) {
@@ -1191,8 +1208,8 @@ class FrontierBuilder {
     }
 
     SleepSet running = node.sleep;
-    for (std::size_t i = 0; i < opt.options.size(); ++i) {
-      const ProcId p = opt.options[i];
+    for (ProcMask todo = opt.options; todo != 0;) {
+      const ProcId p = pop_option(todo, node.current);
       if (cfg_.sleep_sets &&
           std::any_of(running.begin(), running.end(),
                       [p](const SleepEntry& e) { return e.proc == p; }))
@@ -1204,9 +1221,11 @@ class FrontierBuilder {
       child.preemptions = node.preemptions - cost;
       child.crashes_left = node.crashes_left;
       if (cfg_.sleep_sets) {
+        // `sim` stays at the node's state: only the probes step.
+        const ActionSig sig = action_sig(*sim, p);
         for (const SleepEntry& e : running)
-          if (independent(e.sig, sigs[i])) child.sleep.push_back(e);
-        running.push_back({p, sigs[i]});
+          if (independent(e.sig, sig)) child.sleep.push_back(e);
+        running.push_back({p, sig});
       }
       // Validate the child's first step now so workers can never hit a
       // violation while reinstating a frontier prefix.
@@ -1231,7 +1250,8 @@ class FrontierBuilder {
 
     // Crash children, mirroring Dfs::dfs: after all scheduling children,
     // no preemption cost, `current` unchanged, empty sleep set.
-    for (const ProcId p : opt.crash_cand) {
+    for (ProcMask todo = opt.crash; todo != 0;) {
+      const ProcId p = pop_lowest(todo);
       Node child;
       child.dirs = node.dirs;
       child.current = node.current;
@@ -1293,13 +1313,7 @@ ExplorerResult explore_parallel(std::size_t n_procs, SimConfig sim_config,
 
   auto winner = std::numeric_limits<std::size_t>::max();
   for (std::size_t i = 0; i < sub.size(); ++i) {
-    result.schedules += sub[i].schedules;
-    result.truncated += sub[i].truncated;
-    result.steps += sub[i].steps;
-    result.snapshots += sub[i].snapshots;
-    result.restores += sub[i].restores;
-    result.dedup_hits += sub[i].dedup_hits;
-    result.dedup_states += sub[i].dedup_states;
+    add_counts(result, sub[i]);
     if (!sub[i].exhausted) result.exhausted = false;
     if (sub[i].verdict.found() && i < winner) winner = i;
   }
@@ -1370,6 +1384,9 @@ ExplorerResult explore_impl(std::size_t n_procs, SimConfig sim_config,
                             const ScenarioBuilder& build,
                             const ExplorerConfig& config,
                             const trace::Campaign* loaded) {
+  TPA_CHECK(n_procs <= kMaxProcs,
+            "explore: " << n_procs << " processes exceed the limit of "
+                        << kMaxProcs << " (candidate sets are 64-bit masks)");
   // With no per-schedule hook the exploration only counts schedules and
   // checks exclusion: run the bare core (plus ExclusionChecker) and log
   // directives in the explorer itself — no trace, awareness or cost
@@ -1470,13 +1487,7 @@ ExplorerResult explore_impl(std::size_t n_procs, SimConfig sim_config,
     }
     result =
         run_campaign_nodes(n_procs, eff, build, config, &shared, &camp, nodes);
-    result.schedules += camp.base.schedules;
-    result.steps += camp.base.steps;
-    result.truncated += camp.base.truncated;
-    result.snapshots += camp.base.snapshots;
-    result.restores += camp.base.restores;
-    result.dedup_hits += camp.base.dedup_hits;
-    result.dedup_states += camp.base.dedup_states;
+    add_counts(result, camp.base);
   } else if (config.threads <= 1) {
     Dfs dfs(n_procs, eff, build, config, &shared, 0);
     dfs.run_root();
@@ -1526,14 +1537,7 @@ ExplorerResult explore_impl(std::size_t n_procs, SimConfig sim_config,
     // campaign returns this record without re-exploring.
     trace::Campaign fin = camp.base;
     fin.frontier.clear();
-    fin.schedules = result.schedules;
-    fin.steps = result.steps;
-    fin.truncated = result.truncated;
-    fin.snapshots = result.snapshots;
-    fin.restores = result.restores;
-    fin.dedup_hits = result.dedup_hits;
-    fin.dedup_states = result.dedup_states;
-    fin.dedup_evictions = result.dedup_evictions;
+    copy_counts(fin, result);
     fin.complete = true;
     fin.exhausted = result.exhausted;
     fin.verdict = result.verdict;
@@ -1564,14 +1568,7 @@ ExplorerResult resume(const std::string& campaign_path, std::size_t n_procs,
   if (c.complete) {
     // Nothing left to explore: report the recorded terminal result.
     ExplorerResult r;
-    r.schedules = c.schedules;
-    r.steps = c.steps;
-    r.truncated = c.truncated;
-    r.snapshots = c.snapshots;
-    r.restores = c.restores;
-    r.dedup_hits = c.dedup_hits;
-    r.dedup_states = c.dedup_states;
-    r.dedup_evictions = c.dedup_evictions;
+    copy_counts(r, c);
     r.exhausted = c.exhausted;
     r.verdict = c.verdict;
     return r;

@@ -222,7 +222,7 @@ struct ExplorerResult : RunStats {
   // (shrunk when config.shrink is set).
   bool exhausted = true;            ///< false if max_schedules was hit
   std::uint64_t snapshots = 0;  ///< checkpoints taken at branch points
-  std::uint64_t restores = 0;   ///< simulators revived from a checkpoint
+  std::uint64_t restores = 0;   ///< states restored from a checkpoint
   std::uint64_t dedup_hits = 0;    ///< subtrees pruned by the visited set
   std::uint64_t dedup_states = 0;  ///< (fingerprint, budget) inserts accepted
   std::uint64_t dedup_entries = 0;    ///< live visited-set entries at the end
@@ -236,7 +236,9 @@ struct ExplorerResult : RunStats {
 /// Exhaustively explores the scenario under the config's bound. Any
 /// CheckFailure raised by the simulator (mutual-exclusion violations,
 /// algorithm-internal invariant failures) is a violation; the returned
-/// witness replays it via tso::replay.
+/// witness replays it via tso::replay. At most 64 processes: candidate sets
+/// are 64-bit masks, and larger `n_procs` (here or in resume()) is rejected
+/// through check.h.
 ExplorerResult explore(std::size_t n_procs, SimConfig sim_config,
                        const ScenarioBuilder& build,
                        ExplorerConfig config = {});

@@ -162,6 +162,10 @@ class Proc {
   friend class Simulator;
   friend class CostObserver;  ///< writes critical/rmr_* into cur_
 
+  /// Back to the just-constructed state, keeping vector capacity
+  /// (Simulator::restore reuses its processes instead of reallocating).
+  void reset();
+
   Simulator* sim_;
   ProcId id_;
   Status status_ = Status::kNcs;

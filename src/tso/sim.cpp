@@ -152,6 +152,25 @@ bool is_special(PendingClass c) {
 Proc::Proc(Simulator* sim, ProcId id, std::size_t n_procs)
     : sim_(sim), id_(id), met_(n_procs) {}
 
+void Proc::reset() {
+  status_ = Status::kNcs;
+  mode_ = Mode::kRead;
+  buffer_.clear();
+  pending_ = SimOp{OpKind::kRead};
+  has_pending_ = false;
+  done_ = false;
+  crashed_ = false;
+  incarnations_ = 0;
+  resume_point_ = {};
+  op_results_.clear();
+  op_hash_ = kOpHashBasis;
+  fences_total_ = 0;
+  passages_done_ = 0;
+  cur_ = PassageStats{};
+  met_.reset();
+  finished_.clear();
+}
+
 void Proc::OpAwaiter::await_suspend(std::coroutine_handle<> h) {
   TPA_CHECK(!proc.has_pending_,
             "process p" << proc.id_ << " already has a pending op");
@@ -857,36 +876,55 @@ std::uint64_t fp_var_component(const Variable& v, const ProcId* rename) {
   return h;
 }
 
+/// The live blob's inputs other than the buffered entries (FpLiveFields).
+FpLiveFields fp_live_fields(const Proc& p, bool program_valid,
+                            bool has_recovery) {
+  FpLiveFields f;
+  f.control = (static_cast<std::uint64_t>(p.status()) << 8) |
+              (static_cast<std::uint64_t>(p.mode()) << 6) |
+              (static_cast<std::uint64_t>(p.done()) << 5) |
+              (static_cast<std::uint64_t>(p.crashed()) << 4) |
+              (static_cast<std::uint64_t>(p.has_pending()) << 3) |
+              (static_cast<std::uint64_t>(program_valid) << 2) |
+              (static_cast<std::uint64_t>(has_recovery) << 1) |
+              (static_cast<std::uint64_t>(p.incarnations()) << 32);
+  f.buffered = p.buffer().size();
+  if (p.has_pending()) {
+    f.op = (static_cast<std::uint64_t>(p.pending().kind) << 32) |
+           static_cast<std::uint64_t>(
+               static_cast<std::uint32_t>(p.pending().var));
+    f.value = p.pending().value;
+    f.expected = p.pending().expected;
+  }
+  return f;
+}
+
 /// One process' *live* blob: control flags, incarnation count, write buffer
 /// in FIFO order, and the parked pending op — everything of the full blob
 /// except the op-result history hash. Deliberately free of process ids, so
 /// a renaming permutes blob *positions*, never contents. This is the
 /// progress-fingerprint component: the history hash grows monotonically, so
 /// leaving it out is exactly what lets abstract states repeat along a run.
-std::uint64_t fp_proc_blob_live(const Proc& p, bool program_valid,
-                                bool has_recovery) {
+std::uint64_t fp_proc_blob_live(const Proc& p, const FpLiveFields& f) {
   std::uint64_t h = kFpBasis;
-  h = fp_fold(h, (static_cast<std::uint64_t>(p.status()) << 8) |
-                     (static_cast<std::uint64_t>(p.mode()) << 6) |
-                     (static_cast<std::uint64_t>(p.done()) << 5) |
-                     (static_cast<std::uint64_t>(p.crashed()) << 4) |
-                     (static_cast<std::uint64_t>(p.has_pending()) << 3) |
-                     (static_cast<std::uint64_t>(program_valid) << 2) |
-                     (static_cast<std::uint64_t>(has_recovery) << 1));
-  h = fp_fold(h, p.incarnations());
-  h = fp_fold(h, p.buffer().size());
+  h = fp_fold(h, f.control & 0xffffffffULL);
+  h = fp_fold(h, f.control >> 32);
+  h = fp_fold(h, f.buffered);
   for (const BufferedWrite& w : p.buffer()) {
     h = fp_fold(h, static_cast<std::uint64_t>(w.var));
     h = fp_fold(h, static_cast<std::uint64_t>(w.value));
   }
   if (p.has_pending()) {
-    h = fp_fold(h, (static_cast<std::uint64_t>(p.pending().kind) << 32) |
-                       static_cast<std::uint64_t>(
-                           static_cast<std::uint32_t>(p.pending().var)));
-    h = fp_fold(h, static_cast<std::uint64_t>(p.pending().value));
-    h = fp_fold(h, static_cast<std::uint64_t>(p.pending().expected));
+    h = fp_fold(h, f.op);
+    h = fp_fold(h, static_cast<std::uint64_t>(f.value));
+    h = fp_fold(h, static_cast<std::uint64_t>(f.expected));
   }
   return h;
+}
+
+std::uint64_t fp_proc_blob_live(const Proc& p, bool program_valid,
+                                bool has_recovery) {
+  return fp_proc_blob_live(p, fp_live_fields(p, program_valid, has_recovery));
 }
 
 /// The full blob: live blob plus the op-result history hash (the
@@ -934,10 +972,15 @@ Fingerprint fp_finalize(const SimConfig& cfg, std::size_t n_vars,
 void Simulator::fp_dirty_proc(ProcId p) const {
   if (restoring_) return;  // restore() ends with a full fp_rebuild()
   const auto i = static_cast<std::size_t>(p);
-  if (!fp_proc_stale_[i]) {
-    fp_proc_stale_[i] = 1;
-    fp_dirty_procs_.push_back(p);
-  }
+  // Also drops a known live blob: the caller is about to change the state.
+  const std::uint8_t was = fp_proc_stale_[i];
+  fp_proc_stale_[i] = kFpStale;
+  if (was == kFpClean) fp_dirty_procs_.push_back(p);
+}
+
+FpLiveFields Simulator::fp_fields(std::size_t i) const {
+  return fp_live_fields(*procs_[i], programs_[i].valid(),
+                        recovery_[i] != nullptr);
 }
 
 void Simulator::fp_dirty_var(VarId v) const {
@@ -981,11 +1024,14 @@ void Simulator::fp_rebuild() const {
   }
   fp_proc_.resize(procs_.size());
   fp_proc_live_.resize(procs_.size());
-  fp_proc_stale_.assign(procs_.size(), 0);
+  fp_proc_fields_.resize(procs_.size());
+  fp_proc_live_next_.resize(procs_.size());
+  fp_proc_stale_.assign(procs_.size(), kFpClean);
   fp_dirty_procs_.clear();
   for (std::size_t i = 0; i < procs_.size(); ++i) {
-    const std::uint64_t live = fp_proc_blob_live(
-        *procs_[i], programs_[i].valid(), recovery_[i] != nullptr);
+    fp_proc_fields_[i] = fp_fields(i);
+    const std::uint64_t live =
+        fp_proc_blob_live(*procs_[i], fp_proc_fields_[i]);
     const std::uint64_t h = fp_proc_blob_full(live, *procs_[i]);
     fp_proc_[i] = h;
     fp_proc_live_[i] = live;
@@ -1017,17 +1063,24 @@ void Simulator::fp_flush() const {
     const std::uint64_t tag = fp_proc_tag(i);
     fp_x_ ^= fp_tag_x(tag, fp_proc_[i]);
     fp_s_ -= fp_tag_s(tag, fp_proc_[i]);
-    fp_lx_ ^= fp_tag_x(tag, fp_proc_live_[i]);
-    fp_ls_ -= fp_tag_s(tag, fp_proc_live_[i]);
-    const std::uint64_t live = fp_proc_blob_live(
-        *procs_[i], programs_[i].valid(), recovery_[i] != nullptr);
-    fp_proc_live_[i] = live;
+    // A known live blob was found by progress_unchanged_since_baseline(),
+    // whose field check left fp_proc_fields_[i] current.
+    std::uint64_t live = fp_proc_live_next_[i];
+    if (fp_proc_stale_[i] != kFpLiveKnown) {
+      fp_proc_fields_[i] = fp_fields(i);
+      live = fp_proc_blob_live(*procs_[i], fp_proc_fields_[i]);
+    }
+    if (live != fp_proc_live_[i]) {
+      fp_lx_ ^= fp_tag_x(tag, fp_proc_live_[i]);
+      fp_ls_ -= fp_tag_s(tag, fp_proc_live_[i]);
+      fp_proc_live_[i] = live;
+      fp_lx_ ^= fp_tag_x(tag, live);
+      fp_ls_ += fp_tag_s(tag, live);
+    }
     fp_proc_[i] = fp_proc_blob_full(live, *procs_[i]);
     fp_x_ ^= fp_tag_x(tag, fp_proc_[i]);
     fp_s_ += fp_tag_s(tag, fp_proc_[i]);
-    fp_lx_ ^= fp_tag_x(tag, live);
-    fp_ls_ += fp_tag_s(tag, live);
-    fp_proc_stale_[i] = 0;
+    fp_proc_stale_[i] = kFpClean;
   }
   fp_dirty_procs_.clear();
 }
@@ -1121,9 +1174,20 @@ bool Simulator::progress_unchanged_since_baseline() const {
   if (!fp_dirty_vars_.empty()) return false;
   for (const ProcId p : fp_dirty_procs_) {
     const auto i = static_cast<std::size_t>(p);
-    if (fp_proc_blob_live(*procs_[i], programs_[i].valid(),
-                          recovery_[i] != nullptr) != fp_proc_live_[i])
-      return false;
+    if (fp_proc_stale_[i] == kFpLiveKnown) {
+      if (fp_proc_live_next_[i] != fp_proc_live_[i]) return false;
+      continue;
+    }
+    if (!(fp_fields(i) == fp_proc_fields_[i])) return false;
+    // Equal fields leave only the buffered entries to compare: with none,
+    // the live blob is the baseline's without hashing it.
+    const Proc& proc = *procs_[i];
+    fp_proc_live_next_[i] =
+        proc.buffer().empty()
+            ? fp_proc_live_[i]
+            : fp_proc_blob_live(proc, fp_proc_fields_[i]);
+    fp_proc_stale_[i] = kFpLiveKnown;
+    if (fp_proc_live_next_[i] != fp_proc_live_[i]) return false;
   }
   return true;
 }
@@ -1240,13 +1304,13 @@ void Simulator::restore(const SimSnapshot& snap,
                             << observers_.size());
   restoring_ = true;
   // Coroutine frames cannot be copied: destroy any old programs (before the
-  // procs they reference), rebuild both, and fast-forward below.
+  // procs they reference), reset the procs in place — their vectors keep
+  // their capacity for the state copied in below — rebuild the programs,
+  // and fast-forward them.
   programs_.clear();
   programs_.resize(n);
   recovery_.assign(n, nullptr);
-  procs_.clear();
-  for (std::size_t i = 0; i < n; ++i)
-    procs_.push_back(std::make_unique<Proc>(this, static_cast<ProcId>(i), n));
+  for (const auto& p : procs_) p->reset();
   vars_.clear();
   seq_ = 0;
   touched_.reset();

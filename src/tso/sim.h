@@ -137,6 +137,19 @@ struct Fingerprint {
   bool operator==(const Fingerprint&) const = default;
 };
 
+/// A process' live-blob inputs, unhashed, less the buffered entries
+/// themselves: the flag word, incarnation count, buffer length and parked
+/// op. The simulator keeps each process' record from the last fingerprint
+/// flush, so progress_unchanged_since_baseline() can compare a dirtied
+/// process field by field instead of rehashing it.
+struct FpLiveFields {
+  std::uint64_t control = 0;  ///< flag word | incarnations << 32
+  std::uint64_t op = 0;       ///< pending kind << 32 | var (0: none)
+  Value value = 0;            ///< pending write/CAS value (0: none)
+  Value expected = 0;         ///< pending CAS expected value (0: none)
+  std::size_t buffered = 0;   ///< write-buffer length
+  bool operator==(const FpLiveFields&) const = default;
+};
 
 /// A full checkpoint of the simulator (and its observers) at a quiescent
 /// point between scheduler steps. Move-only; share via shared_ptr when the
@@ -361,8 +374,9 @@ class Simulator {
 
   /// True when no progress-visible component has changed since the last
   /// flush/rebuild of the incremental-fingerprint baseline: no variable was
-  /// dirtied, and every dirtied process' recomputed live blob equals its
-  /// baseline value — i.e. only op histories grew. Read-only: neither
+  /// dirtied, and every dirtied process' live blob equals its baseline
+  /// value — i.e. only op histories grew. The blob's fields are compared
+  /// unhashed; only a process with buffered writes is rehashed. Read-only: neither
   /// flushes nor moves the baseline, so chained calls keep comparing
   /// against the same state. Callers must separately rule out variable
   /// *allocation* (compare n_vars() across the step): a fresh variable
@@ -426,6 +440,9 @@ class Simulator {
   void fp_rebuild() const;
   /// Folds all dirty components back into the accumulators.
   void fp_flush() const;
+  /// Process i's current live-blob fields (the baseline keeps the last
+  /// flushed ones in fp_proc_fields_).
+  FpLiveFields fp_fields(std::size_t i) const;
 
   /// Stamps the event, counts it, and runs the observer pipeline.
   void dispatch(Proc& p, Event& e, const StepContext& ctx);
@@ -459,6 +476,8 @@ class Simulator {
   /// A full blob is fp_fold(live blob, op_history_hash), so both are
   /// computed in one pass and share the dirty tracking below.
   mutable std::vector<std::uint64_t> fp_proc_live_;
+  /// The unhashed inputs behind fp_proc_live_ (same baseline).
+  mutable std::vector<FpLiveFields> fp_proc_fields_;
   mutable std::uint64_t fp_x_ = 0;
   mutable std::uint64_t fp_s_ = 0;
   mutable std::uint64_t fp_lx_ = 0;  ///< progress-lane XOR accumulator
@@ -466,7 +485,13 @@ class Simulator {
   mutable std::vector<VarId> fp_dirty_vars_;
   mutable std::vector<ProcId> fp_dirty_procs_;
   mutable std::vector<std::uint8_t> fp_var_stale_;
+  /// Per process: kFpClean, kFpStale (in fp_dirty_procs_), or kFpLiveKnown
+  /// (stale, but fp_proc_live_next_ already holds its current live blob —
+  /// found by progress_unchanged_since_baseline() and reused by the next
+  /// flush instead of hashed again).
   mutable std::vector<std::uint8_t> fp_proc_stale_;
+  mutable std::vector<std::uint64_t> fp_proc_live_next_;
+  static constexpr std::uint8_t kFpClean = 0, kFpStale = 1, kFpLiveKnown = 2;
   /// Scratch for fingerprint_symmetric (avoids per-call allocation).
   mutable std::vector<ProcId> fp_rank_;
   mutable std::vector<std::uint64_t> fp_wref_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "algos/zoo.h"
 #include "bounds/estimate.h"
@@ -68,6 +69,11 @@ struct Expected {
   const char* name;
   AdaptivityClass cls;
 };
+
+// Without a printer gtest shows the raw bytes of the struct, the name
+// pointer included, and those bytes end up in the discovered ctest names —
+// which then change from build to build (and from run to run under ASLR).
+void PrintTo(const Expected& e, std::ostream* os) { *os << e.name; }
 
 class EstimateZoo : public ::testing::TestWithParam<Expected> {};
 

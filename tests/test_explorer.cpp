@@ -3,11 +3,13 @@
 // violating schedule for the fence-free bakery — the "fences are
 // unavoidable" premise ([5] in the paper), demonstrated.
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <memory>
 
 #include "algos/bakery.h"
 #include "algos/zoo.h"
+#include "runtime/scenario.h"
 #include "tso/explorer.h"
 #include "tso/schedule.h"
 
@@ -135,6 +137,40 @@ TEST(Explorer, ZeroPreemptionsIsSequential) {
   EXPECT_FALSE(r.verdict.found());
   EXPECT_TRUE(r.exhausted);
   EXPECT_EQ(r.schedules, 2u);
+}
+
+/// The DFS recurses once per executed step, so its frame size sets how deep
+/// a schedule fits on a thread's stack. Guards that frame: tas-loop-2p with
+/// one preemption spins down to the step cap, and 8000 steps must fit the
+/// common 8 MiB default. Frame sizes depend on the optimizer and grow under
+/// ASan/TSan, so unoptimized and sanitized builds skip it.
+void* explore_deep_spin(void* out) {
+  const runtime::Scenario* s = runtime::find_scenario("tas-loop-2p");
+  ExplorerConfig cfg;
+  cfg.preemptions = 1;
+  cfg.max_steps = 8000;
+  *static_cast<tso::ExplorerResult*>(out) = s->explore(cfg);
+  return nullptr;
+}
+
+TEST(Explorer, EightThousandStepSchedulesFitAnEightMebibyteStack) {
+#if !defined(__OPTIMIZE__) || defined(__SANITIZE_ADDRESS__) || \
+    defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "stack frame sizes are only pinned for optimized, "
+                  "unsanitized builds";
+#endif
+  ASSERT_NE(runtime::find_scenario("tas-loop-2p"), nullptr);
+  tso::ExplorerResult r;
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, std::size_t{8} << 20), 0);
+  pthread_t thread;
+  ASSERT_EQ(pthread_create(&thread, &attr, explore_deep_spin, &r), 0);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
+  pthread_attr_destroy(&attr);
+  EXPECT_EQ(r.verdict.kind, tso::VerdictKind::kClean) << r.verdict.message;
+  EXPECT_TRUE(r.exhausted);
+  EXPECT_GT(r.truncated, 0u) << "the spin must reach the step cap";
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
 // Stateful exploration: Simulator::fingerprint invariants, the visited-set
 // ablation (dedup on/off must produce bit-identical verdicts and witnesses
 // on every registry scenario), process-symmetry canonicalization, and the
-// check.h-routed rejections of the unsound configuration combinations.
+// check.h-routed rejections of the unsound configuration combinations and
+// of scopes beyond the 64-process limit.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "runtime/scenario.h"
+#include "trace/campaign.h"
 #include "tso/explorer.h"
 #include "tso/fuzz.h"
 #include "tso/schedule.h"
@@ -285,6 +288,15 @@ TEST(DedupRejections, HookAndSleepSetsAndUndeclaredSymmetryAreRejected) {
   }
 }
 
+/// n identical processes, each writing and fencing one shared variable.
+ScenarioBuilder identical_writers(int n) {
+  return [n](Simulator& sim) {
+    const VarId x = sim.alloc_var();
+    for (ProcId p = 0; p < n; ++p)
+      sim.spawn(p, write_and_fence(sim.proc(p), x, 1));
+  };
+}
+
 TEST(DedupRejections, StructuralProbeCatchesVisiblyAsymmetricScenarios) {
   ExplorerConfig sym;
   sym.dedup = DedupMode::kState;
@@ -309,17 +321,58 @@ TEST(DedupRejections, StructuralProbeCatchesVisiblyAsymmetricScenarios) {
   // Canonicalization sorts invariant signatures instead of enumerating the
   // n! renamings, so wide symmetric scopes are no longer capped: 7 identical
   // writers collapse to a handful of orbit states.
-  const ScenarioBuilder wide = [](Simulator& sim) {
-    const VarId x = sim.alloc_var();
-    for (ProcId p = 0; p < 7; ++p)
-      sim.spawn(p, write_and_fence(sim.proc(p), x, 1));
-  };
   ExplorerConfig wide_cfg = sym;
   wide_cfg.preemptions = 1;
-  const ExplorerResult wide_result = tso::explore(7, {}, wide, wide_cfg);
+  const ExplorerResult wide_result =
+      tso::explore(7, {}, identical_writers(7), wide_cfg);
   EXPECT_FALSE(wide_result.verdict.found()) << wide_result.verdict.message;
   EXPECT_TRUE(wide_result.exhausted);
   EXPECT_GT(wide_result.dedup_hits, 0u);
+}
+
+TEST(ExplorerRejections, MoreThan64ProcessesMessageNamesTheLimit) {
+  // Candidate sets are 64-bit masks: a 65th process is rejected up front,
+  // before the builder runs, by explore() ...
+  try {
+    (void)tso::explore(65, {}, identical_writers(65), {});
+    FAIL() << "65 processes must be rejected";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("65 processes exceed the limit of 64"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // ... and by resume(), whatever a campaign file records.
+  const std::string path = ::testing::TempDir() + "tpa_campaign_65p.tpc";
+  trace::Campaign c;
+  c.n_procs = 65;
+  c.frontier.push_back(trace::CampaignNode{tso::kNoProc, c.preemptions,
+                                           c.max_crashes, {}});
+  trace::write_campaign_file(path, c);
+  try {
+    (void)tso::resume(path, 65, {}, identical_writers(65));
+    ADD_FAILURE() << "resuming 65 processes must be rejected";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("65 processes exceed the limit of 64"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ExplorerRejections, SixtyFourProcessesExploreWithZeroPreemptions) {
+  // The widest admitted scope runs to a clean, exhausted verdict: process
+  // 63 occupies the masks' top bit. Symmetry reduction keeps the 64! orders
+  // in which the writers can take turns down to a handful of orbit states.
+  ExplorerConfig cfg;
+  cfg.preemptions = 0;
+  cfg.dedup = DedupMode::kState;
+  cfg.symmetric_processes = SymmetryMode::kCanonical;
+  const ExplorerResult r = tso::explore(64, {}, identical_writers(64), cfg);
+  EXPECT_FALSE(r.verdict.found()) << r.verdict.message;
+  EXPECT_TRUE(r.exhausted);
+  EXPECT_GE(r.schedules, 1u);
+  EXPECT_GT(r.dedup_hits, 0u);
 }
 
 // ---- unified result JSON -------------------------------------------------

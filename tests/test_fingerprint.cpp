@@ -155,40 +155,105 @@ TEST(FingerprintDifferential, AuditModeCrossChecksEveryCall) {
 
 // ---- snapshot / restore round-trips --------------------------------------
 
+/// Applies the first directive of `kind` the adversary could apply now;
+/// false if there is none.
+bool apply_first(Simulator& sim, ActionKind kind) {
+  for (const Directive& d : possible_directives(sim, /*crashes=*/true))
+    if (d.kind == kind) return apply(sim, d);
+  return false;
+}
+
+/// Steps `a` and `b` through the same directives, two at a time, checking
+/// after every pair that they fingerprint identically and match the
+/// oracles. Between the two steps `a` runs the liveness dirty-delta check,
+/// which caches the live-blob hashes of the dirtied processes; the second
+/// step moves the same process again where it can, so the next flush must
+/// not reuse the now stale hash.
+void expect_lockstep(Simulator& a, Simulator& b, std::mt19937_64& rng,
+                     std::size_t pairs, bool crashes,
+                     const std::string& context) {
+  for (std::size_t k = 0; k < pairs; ++k) {
+    std::vector<Directive> next = possible_directives(a, crashes);
+    if (next.empty()) return;
+    Directive d =
+        next[std::uniform_int_distribution<std::size_t>(0, next.size() - 1)(
+            rng)];
+    ASSERT_TRUE(apply(a, d)) << context;
+    ASSERT_TRUE(apply(b, d)) << context;
+    (void)a.progress_unchanged_since_baseline();
+    next = possible_directives(a, /*crashes=*/false);
+    if (next.empty()) return;
+    const auto same = std::find_if(next.begin(), next.end(),
+                                   [&](const Directive& e) {
+                                     return e.proc == d.proc;
+                                   });
+    d = same != next.end() ? *same : next.front();
+    ASSERT_TRUE(apply(a, d)) << context;
+    ASSERT_TRUE(apply(b, d)) << context;
+    ASSERT_EQ(a.fingerprint(), b.fingerprint()) << context << " pair " << k;
+    ASSERT_EQ(a.fingerprint_progress(), a.fingerprint_progress_oracle())
+        << context << " pair " << k;
+    expect_matches_oracle(a, context + " pair " + std::to_string(k));
+  }
+}
+
 TEST(FingerprintDifferential, SnapshotRestoreRoundTripsIncrementalState) {
   for (const char* name : {"ticket-3p", "recoverable-2p"}) {
     const Scenario* s = find_scenario(name);
     ASSERT_NE(s, nullptr) << name;
     auto sim = s->make_simulator();
+    // Fail-stop crashes would end the walk early; they are only taken on
+    // the detours below, which the restores undo.
+    const bool recoverable = sim->has_recovery(0);
     std::mt19937_64 rng(99);
+    std::size_t restores = 0, crossed_recovery = 0;
     for (std::size_t step = 0; step < 60; ++step) {
-      std::vector<Directive> cand =
-          possible_directives(*sim, /*crashes=*/true);
+      std::vector<Directive> cand = possible_directives(*sim, recoverable);
       if (cand.empty()) break;
       ASSERT_TRUE(apply(*sim, cand[std::uniform_int_distribution<std::size_t>(
                                   0, cand.size() - 1)(rng)]));
       if (step % 10 != 9) continue;
+      const std::string at = std::string(name) + " step " +
+                             std::to_string(step);
 
       const tso::SimSnapshot snap = sim->snapshot();
       const Fingerprint before = sim->fingerprint();
       Simulator fresh(s->n_procs, s->sim);
       fresh.restore(snap, s->build);
-      ASSERT_EQ(fresh.fingerprint(), before) << name << " step " << step;
-      expect_matches_oracle(
-          fresh, std::string(name) + " restored at step " +
-                     std::to_string(step));
+      ASSERT_EQ(fresh.fingerprint(), before) << at;
+      expect_matches_oracle(fresh, at + " restored fresh");
 
-      // The restored simulator's *incremental* state must keep tracking
-      // exactly: step both sims in lockstep and compare again.
-      std::vector<Directive> next =
-          possible_directives(*sim, /*crashes=*/false);
-      if (!next.empty()) {
-        ASSERT_TRUE(apply(*sim, next.front()));
-        ASSERT_TRUE(apply(fresh, next.front()));
-        ASSERT_EQ(fresh.fingerprint(), sim->fingerprint())
-            << name << " diverged one step after restore";
-        expect_matches_oracle(fresh, std::string(name) + " post-restore step");
+      // In place, from a later state — the explorer's hot path, where one
+      // simulator per DFS is restored at every branch point: move the
+      // original on, across a crash and (where the scenario has a recovery
+      // section) a recovery, then restore the snapshot into it.
+      const bool crashed = apply_first(*sim, ActionKind::kCrash);
+      const bool recovered = apply_first(*sim, ActionKind::kRecover);
+      if (crashed && recovered) crossed_recovery++;
+      for (std::size_t k = 0; k < 5; ++k) {
+        std::vector<Directive> more =
+            possible_directives(*sim, /*crashes=*/false);
+        if (more.empty()) break;
+        (void)sim->progress_unchanged_since_baseline();
+        ASSERT_TRUE(apply(*sim, more.back())) << at;
       }
+      sim->restore(snap, s->build);
+      ASSERT_EQ(sim->fingerprint(), before) << at;
+      ASSERT_TRUE(sim->progress_unchanged_since_baseline()) << at;
+      ASSERT_EQ(sim->fingerprint_progress(), sim->fingerprint_progress_oracle())
+          << at;
+      expect_matches_oracle(*sim, at + " restored in place");
+
+      // Both restored simulators' *incremental* state must keep tracking
+      // exactly: step them in lockstep and compare again.
+      expect_lockstep(*sim, fresh, rng, 3, recoverable,
+                      at + " after restore");
+      restores++;
+    }
+    EXPECT_GE(restores, 2u) << name << ": the walk ended early";
+    if (std::string(name) == "recoverable-2p") {
+      EXPECT_GT(crossed_recovery, 0u) << "no in-place restore crossed a "
+                                         "crash and a recovery";
     }
   }
 }
